@@ -240,14 +240,8 @@ def another_fits(started: float, seconds: float, durations: Sequence[float], min
     return time.perf_counter() - started + statistics.median(durations) <= seconds
 
 
-#: Start-up probes per run of a command that prints nothing before it
-#: finishes (``repro batch``, ``repro simulate``).
-STARTUP_SAMPLES = 8
-
-
 def measure_repeated(
     argv: Sequence[str],
-    help_argv: Sequence[str],
     reference: bytes,
     units: int,
     rate: str,
@@ -256,28 +250,21 @@ def measure_repeated(
 ):
     """Run ``argv`` back to back while another run fits in ``seconds``
     (at least ``minimum`` times), each stdout checked against
-    ``reference``.  Before each of the first :data:`STARTUP_SAMPLES`
-    runs, time ``help_argv`` from spawn to exit: the interpreter, the
-    CLI's imports and argument parsing, which is all the start-up such
-    a command shows from outside.
+    ``reference``.
 
-    Returns an :class:`~perfbench.metrics.Outcome` with ``setup_s``
-    (median start-up), ``rate`` (median ``units`` per second from spawn
-    to exit) and ``peak_rss_mb``.
+    Returns an :class:`~perfbench.metrics.Outcome` with ``rate``
+    (median ``units`` per second from spawn to exit) and
+    ``peak_rss_mb``.
     """
     import statistics
 
     from .metrics import Outcome
 
     outcome = Outcome()
-    rates, startups, rss, durations = [], [], 0, []
+    rates, rss, durations = [], 0, []
     started = time.perf_counter()
     while another_fits(started, seconds, durations, minimum):
         began = time.perf_counter()
-        if len(startups) < STARTUP_SAMPLES:
-            probe = run_program(help_argv)
-            if probe.returncode == 0:
-                startups.append(probe.wall)
         outcome.attempted += 1
         program = run_program(argv)
         durations.append(time.perf_counter() - began)
@@ -288,11 +275,7 @@ def measure_repeated(
         else:
             rates.append(units / program.wall)
             rss = max(rss, program.max_rss_kb)
-    if rates and startups:
-        outcome.values = {
-            "setup_s": statistics.median(startups),
-            rate: statistics.median(rates),
-            "peak_rss_mb": rss / 1024.0,
-        }
-    outcome.notes.append(f"runs {len(rates)}, {units} units each, {len(startups)} start-up probes")
+    if rates:
+        outcome.values = {rate: statistics.median(rates), "peak_rss_mb": rss / 1024.0}
+    outcome.notes.append(f"runs {len(rates)}, {units} units each")
     return outcome

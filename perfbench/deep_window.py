@@ -6,8 +6,7 @@ deadline lies between its typical and full WCL, so each job runs the
 Def. 10 fixed points and the combination search over 6-9 overload
 ISRs — the regime where the numpy kernel wins.  It also runs the
 ``ProcessPoolExecutor`` fan-out of ``BatchRunner``.  ``jobs_per_s``
-is timed from spawn to exit; ``setup_s`` is start-up (spawn to exit of
-``repro batch --help``).
+is timed from spawn to exit.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class DeepWindow:
     def measure(self, seconds: float) -> Outcome:
         return measure_repeated(
             repro(*self.batch_args(WORKERS)),
-            repro("batch", "--help"),
             self.reference,
             self.jobs,
             "jobs_per_s",

@@ -1,28 +1,26 @@
-"""Metric names, units and the result a workload run hands back.
+"""Metric declarations and the result a workload run hands back.
 
-``BENCHMARK.json`` declares the same names; ``tests/test_contract.py``
-keeps the two in step.
+``BENCHMARK.json`` declares every metric's name, unit and direction;
+:func:`declared` reads them from there.  This module holds only what
+that file cannot: which workload reports which end-to-end metric, and
+the layers and cache categories the traced run derives names from.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Tuple
 
-#: End-to-end metrics: name -> (unit, better).
-END_TO_END: Dict[str, Tuple[str, str]] = {
-    "setup_s": ("s", "lower"),
-    "jobs_per_s": ("jobs/s", "higher"),
-    "events_per_s": ("activations/s", "higher"),
-    "peak_rss_mb": ("MB", "lower"),
-}
+SPEC_PATH = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 #: Which end-to-end metrics each workload reports.
 WORKLOAD_METRICS: Dict[str, Tuple[str, ...]] = {
     "corpus_sweep": ("setup_s", "jobs_per_s", "peak_rss_mb"),
-    "deep_window": ("setup_s", "jobs_per_s", "peak_rss_mb"),
+    "deep_window": ("jobs_per_s", "peak_rss_mb"),
     "daemon_mixed": ("setup_s", "peak_rss_mb"),
-    "sim_soak": ("setup_s", "events_per_s", "peak_rss_mb"),
+    "sim_soak": ("events_per_s", "peak_rss_mb"),
 }
 
 #: Cache categories whose hit ratio the traced run reports.
@@ -40,57 +38,12 @@ SPAN_LAYERS = (
     "runner.jobs",
 )
 
-#: Per-layer metrics: name -> (unit, better).  Every traced run reports
-#: all of them; a layer a workload does not reach reads 0.
-PER_LAYER: Dict[str, Tuple[str, str]] = {
-    "startup.import_s": ("s", "lower"),
-    "startup.numpy_import_s": ("s", "lower"),
-    **{f"{layer}.calls": ("count", "lower") for layer in SPAN_LAYERS},
-    **{f"{layer}.self_s": ("s", "lower") for layer in SPAN_LAYERS},
-    "analysis.combinations.nodes": ("count", "lower"),
-    "analysis.combinations.checks": ("count", "lower"),
-    "ilp.resolves": ("count", "lower"),
-    "ilp.cold_solves": ("count", "lower"),
-    "ilp.warm_starts": ("count", "higher"),
-    "ilp.self_s": ("s", "lower"),
-    **{f"runner.cache.{c}.hit_ratio": ("ratio", "higher") for c in CACHE_CATEGORIES},
-    "runner.diskcache.stores": ("count", "lower"),
-    "runner.diskcache.store_s": ("s", "lower"),
-    "runner.shard.sweeps": ("count", "higher"),
-    "runner.shard.chunks": ("count", "lower"),
-    "runner.shard.steals": ("count", "lower"),
-    "runner.shard.duplicates": ("count", "lower"),
-    "runner.shard.useful_ratio": ("ratio", "higher"),
-    "runner.shard.retries": ("count", "lower"),
-    "runner.shard.teardown_s": ("s", "lower"),
-    "runner.shard.teardown_max_s": ("s", "lower"),
-    "runner.shard.stalls": ("count", "lower"),
-    "runner.batch.efficiency": ("ratio", "higher"),
-    "service.requests": ("count", "higher"),
-    "service.computes": ("count", "lower"),
-    "service.coalesced": ("count", "higher"),
-    "service.analyze_s": ("s", "lower"),
-    "service.transport_s": ("s", "lower"),
-    "service.queue_wait_s": ("s", "lower"),
-    "service.parse_s": ("s", "lower"),
-    # The daemon's open- and closed-loop figures, which swing too much
-    # between runs on a shared 2-CPU host to carry a bound.
-    "daemon.warm_p50_ms": ("ms", "lower"),
-    "daemon.cold_p50_ms": ("ms", "lower"),
-    "daemon.cold_p95_ms": ("ms", "lower"),
-    "daemon.warm_p95_ms": ("ms", "lower"),
-    "daemon.requests_per_s": ("req/s", "higher"),
-    "daemon.generator_late_p99_ms": ("ms", "lower"),
-    "daemon.cpu_ms_per_request": ("ms", "lower"),
-    "sim.activations_s": ("s", "lower"),
-    "sim.run_s": ("s", "lower"),
-    "sim.report_s": ("s", "lower"),
-    "sim.events": ("count", "higher"),
-    "trace.untraced_s": ("s", "lower"),
-    "trace.traced_s": ("s", "lower"),
-    "trace.overhead_s": ("s", "lower"),
-    "trace.spans": ("count", "lower"),
-}
+
+def declared(kind: str) -> Dict[str, str]:
+    """Metric name -> unit for ``kind`` (``end_to_end`` or
+    ``per_layer``), in ``BENCHMARK.json`` order."""
+    spec = json.loads(SPEC_PATH.read_text(encoding="utf-8"))
+    return {metric["name"]: metric["unit"] for metric in spec[kind]}
 
 
 @dataclass
@@ -106,12 +59,12 @@ class Outcome:
         self.failed += 1
         self.notes.append(f"FAILED: {note}")
 
-    def result(self, names: Dict[str, Tuple[str, str]]) -> Dict:
-        """The final report line: every metric of ``names`` that this
-        run measured, with its unit."""
+    def result(self, units: Dict[str, str]) -> Dict:
+        """The final report line: every metric of ``units`` (name ->
+        unit) that this run measured."""
         metrics = {
             name: {"value": self.values[name], "unit": unit}
-            for name, (unit, _) in names.items()
+            for name, unit in units.items()
             if name in self.values
         }
         return {

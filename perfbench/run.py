@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGINT, signal.default_int_handler)
 
     from perfbench.common import WORK
-    from perfbench.metrics import END_TO_END, PER_LAYER, WORKLOAD_METRICS
+    from perfbench.metrics import WORKLOAD_METRICS, declared
 
     shutil.rmtree(WORK, ignore_errors=True)
     (WORK / "tmp").mkdir(parents=True)
@@ -89,12 +89,12 @@ def main(argv=None) -> int:
     outcome = workload.trace(args.seconds) if args.trace else workload.measure(args.seconds)
     for note in outcome.notes:
         print(note)
-    names = (
-        PER_LAYER
-        if args.trace
-        else {name: END_TO_END[name] for name in WORKLOAD_METRICS[args.workload]}
-    )
-    print(json.dumps(outcome.result(names)))
+    if args.trace:
+        units = declared("per_layer")
+    else:
+        end_to_end = declared("end_to_end")
+        units = {name: end_to_end[name] for name in WORKLOAD_METRICS[args.workload]}
+    print(json.dumps(outcome.result(units)))
     return 0
 
 

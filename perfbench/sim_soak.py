@@ -2,14 +2,14 @@
 over a horizon releasing about :data:`EVENTS` activations.
 
 The simulator is the one layer the other workloads never touch.
-``events_per_s`` is released activations (the instance counts the
-command prints) per second from spawn to exit; ``setup_s`` is start-up
-(spawn to exit of ``repro simulate --help``).
+``events_per_s`` is released activations per second from spawn to
+exit.  The released count is taken once in set-up from the
+critical-instant streams the command simulates, so activations still
+pending at the horizon count as well.
 """
 
 from __future__ import annotations
 
-import re
 from typing import List
 
 from . import inputs
@@ -20,18 +20,13 @@ from .trace import layer_metrics
 EVENTS = 200_000
 MIN_RUNS = 3
 
-_INSTANCES = re.compile(r"^\S+: (\d+) instances, ", re.MULTILINE)
-
-
-def released(output: str) -> int:
-    """Activations released, summed over the per-chain summary lines."""
-    return sum(int(count) for count in _INSTANCES.findall(output))
-
 
 class SimSoak:
     name = "sim_soak"
 
     def __init__(self, seed: int):
+        from repro.sim.metrics import worst_case_activations
+
         system, self.horizon = inputs.soak_input(seed, EVENTS)
         self.digest = inputs.systems_digest([system])
         (self.path,) = inputs.write_systems([system], WORK / "soak")
@@ -40,7 +35,8 @@ class SimSoak:
         if program.returncode != 0:
             raise RuntimeError(f"reference simulation failed: {program.stderr_lines[-3:]}")
         self.reference = program.stdout
-        self.events = released(self.reference.decode("utf-8"))
+        streams = worst_case_activations(system, self.horizon)
+        self.events = sum(len(stream) for stream in streams.values())
 
     def args(self) -> List[str]:
         return ["simulate", "--system", self.path, "--horizon", str(self.horizon)]
@@ -54,7 +50,6 @@ class SimSoak:
     def measure(self, seconds: float) -> Outcome:
         return measure_repeated(
             repro(*self.args()),
-            repro("simulate", "--help"),
             self.reference,
             self.events,
             "events_per_s",

@@ -3,8 +3,8 @@
 Runs ``perfbench/run.py`` once per seed for each named workload and
 prints, per metric, the median, the interquartile distance as a share
 of the median, and that share against the metric's bound in
-``BENCHMARK.json``.  ``--bounds`` sets how much of a bound a spread may
-use before it is flagged (the benchmark aims below a third).
+``BENCHMARK.json``.  A spread above :data:`SHARE` of its bound is
+flagged, ``setup_s`` included, and the script then exits 1.
 
     python3 perfbench/spread.py --workload deep_window --seeds 1 2 3 4 5
 """
@@ -23,13 +23,14 @@ sys.path.insert(0, str(ROOT))
 
 from perfbench.stats import relative_iqr  # noqa: E402
 
+#: Share of a metric's bound its spread may use before it is flagged.
+SHARE = 1 / 3
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--share", type=float, default=1 / 3)
-    parser.add_argument("--out", help="append every run's result line to this JSONL file")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
@@ -48,9 +49,6 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: exit {done.returncode}\n{done.stderr[-2000:]}")
                 return 1
             result = json.loads(lines[-1])
-            if args.out:
-                with open(args.out, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps({"workload": workload, "seed": seed, **result}) + "\n")
             if not result["correct"] or result["failed"]:
                 print(f"{workload} seed {seed}: incorrect\n" + "\n".join(lines[:-1]))
                 flagged = True
@@ -59,7 +57,7 @@ def main(argv=None) -> int:
         for name, series in values.items():
             share = relative_iqr(series)
             bound = bounds[name]
-            mark = "" if name == "setup_s" or share <= bound * args.share else "  <-- wide"
+            mark = "" if share <= bound * SHARE else "  <-- wide"
             flagged |= bool(mark)
             print(
                 f"{workload:14s} {name:16s} median {statistics.median(series):12.4f}"

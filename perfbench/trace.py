@@ -234,8 +234,7 @@ class Tracer:
     """Context manager that wraps every :data:`TARGETS` name while
     active and keeps the spans it records."""
 
-    def __init__(self, targets: Tuple[Target, ...] = TARGETS):
-        self.targets = targets
+    def __init__(self) -> None:
         self.spans: List[Span] = []
         self.counts: Dict[str, float] = defaultdict(float)
         self._ids = itertools.count(1)
@@ -250,7 +249,7 @@ class Tracer:
         return stack
 
     def span(self, index: int, fn: Callable) -> Callable:
-        target = self.targets[index]
+        target = TARGETS[index]
         spans = self.spans
         counts = self.counts
         ids = self._ids
@@ -277,7 +276,7 @@ class Tracer:
 
     # -- patching --------------------------------------------------------
     def __enter__(self) -> "Tracer":
-        for index, target in enumerate(self.targets):
+        for index, target in enumerate(TARGETS):
             owner = importlib.import_module(target.module)
             *path, name = target.attr.split(".")
             for part in path:
@@ -302,7 +301,7 @@ class Tracer:
     def calls_by_target(self) -> Dict[str, int]:
         calls: Dict[str, int] = defaultdict(int)
         for _, _, index, _, _ in self.spans:
-            calls[self.targets[index].key] += 1
+            calls[TARGETS[index].key] += 1
         return dict(calls)
 
     def layer_totals(self) -> Dict[str, Dict[str, float]]:
@@ -316,7 +315,7 @@ class Tracer:
             lambda: {"calls": 0, "total_s": 0.0, "self_s": 0.0}
         )
         for span_id, _, index, start, end in self.spans:
-            entry = totals[self.targets[index].layer]
+            entry = totals[TARGETS[index].layer]
             entry["calls"] += 1
             entry["total_s"] += end - start
             entry["self_s"] += end - start - child_time.get(span_id, 0.0)
@@ -325,7 +324,7 @@ class Tracer:
     def write(self, path: Path) -> None:
         """Write every span as one JSON line: id, parent, layer,
         target, start and end (seconds, ``perf_counter`` clock)."""
-        names = [(t.layer, t.key) for t in self.targets]
+        names = [(t.layer, t.key) for t in TARGETS]
         with open(path, "w", encoding="utf-8") as handle:
             for span_id, parent, index, start, end in self.spans:
                 layer, key = names[index]
@@ -357,11 +356,11 @@ def layer_metrics(
     """Time ``run`` traced, and untraced before and after.
 
     Returns the per-layer metrics of the traced run — every
-    :data:`~perfbench.metrics.PER_LAYER` name, 0 where no span landed —
+    per-layer name ``BENCHMARK.json`` declares, 0 where no span landed —
     with the tracing overhead (traced minus untraced wall time), and
     the traced run's return value.  The spans go to ``spans_path``.
     """
-    from .metrics import PER_LAYER, SPAN_LAYERS
+    from .metrics import SPAN_LAYERS, declared
 
     def timed() -> float:
         started = time.perf_counter()
@@ -385,7 +384,7 @@ def layer_metrics(
     def total(layer: str, key: str = "total_s") -> float:
         return totals.get(layer, {}).get(key, 0.0)
 
-    values: Dict[str, float] = {name: 0.0 for name in PER_LAYER}
+    values: Dict[str, float] = {name: 0.0 for name in declared("per_layer")}
     for layer in SPAN_LAYERS:
         values[f"{layer}.calls"] = total(layer, "calls")
         values[f"{layer}.self_s"] = total(layer, "self_s")
