@@ -240,42 +240,66 @@ def another_fits(started: float, seconds: float, durations: Sequence[float], min
     return time.perf_counter() - started + statistics.median(durations) <= seconds
 
 
+#: Start-ups per run behind a ``setup_s`` median.
+SETUP_SAMPLES = 7
+
+
 def measure_repeated(
     argv: Sequence[str],
     reference: bytes,
     units: int,
-    rate: str,
     seconds: float,
     minimum: int,
+    setup_argv: Sequence[str],
+    setup_reference: bytes,
 ):
-    """Run ``argv`` back to back while another run fits in ``seconds``
-    (at least ``minimum`` times), each stdout checked against
-    ``reference``.
+    """Run the workload's command on its smallest input
+    :data:`SETUP_SAMPLES` times (``setup_argv``), then ``argv`` back to
+    back while another run fits in ``seconds`` (at least ``minimum``
+    times).  Each stdout is checked against its reference.
 
-    Returns an :class:`~perfbench.metrics.Outcome` with ``rate``
-    (median ``units`` per second from spawn to exit) and
-    ``peak_rss_mb``.
+    Returns an :class:`~perfbench.metrics.Outcome` with ``setup_s``
+    (median spawn-to-exit seconds of the smallest input: the fixed
+    cost of one invocation), ``ops_per_s`` (median ``units`` per second
+    from spawn to exit) and ``peak_rss_mb``.
     """
     import statistics
 
     from .metrics import Outcome
 
     outcome = Outcome()
-    rates, rss, durations = [], 0, []
+    rss = 0
+
+    def checked(command: Sequence[str], expected: bytes) -> Optional[Program]:
+        nonlocal rss
+        outcome.attempted += 1
+        program = run_program(command)
+        if program.returncode != 0:
+            outcome.fail(f"exited {program.returncode}: {program.stderr_lines[-3:]}")
+            return None
+        if program.stdout != expected:
+            outcome.fail("output differs from the reference")
+            return None
+        rss = max(rss, program.max_rss_kb)
+        return program
+
+    setups = []
+    for _ in range(SETUP_SAMPLES):
+        if (program := checked(setup_argv, setup_reference)) is not None:
+            setups.append(program.wall)
+    rates, durations = [], []
     started = time.perf_counter()
     while another_fits(started, seconds, durations, minimum):
         began = time.perf_counter()
-        outcome.attempted += 1
-        program = run_program(argv)
+        program = checked(argv, reference)
         durations.append(time.perf_counter() - began)
-        if program.returncode != 0:
-            outcome.fail(f"exited {program.returncode}: {program.stderr_lines[-3:]}")
-        elif program.stdout != reference:
-            outcome.fail("output differs from the reference")
-        else:
+        if program is not None:
             rates.append(units / program.wall)
-            rss = max(rss, program.max_rss_kb)
-    if rates:
-        outcome.values = {rate: statistics.median(rates), "peak_rss_mb": rss / 1024.0}
-    outcome.notes.append(f"runs {len(rates)}, {units} units each")
+    if setups and rates:
+        outcome.values = {
+            "setup_s": statistics.median(setups),
+            "ops_per_s": statistics.median(rates),
+            "peak_rss_mb": rss / 1024.0,
+        }
+    outcome.notes.append(f"start-ups {len(setups)}, runs {len(rates)}, {units} units each")
     return outcome

@@ -4,10 +4,10 @@
 Its cost is spread over many small jobs: per-job set-up, staircase
 curves, busy windows, serialization and process fan-out.  Each sweep is
 timed from spawn: ``setup_s`` to the coordinator's ``dispatching``
-line, ``jobs_per_s`` to its ``merged`` line.  The time from ``merged``
-to exit is the shard teardown, reported on its own (``runner.shard.*``)
-because ``LocalShardWorker.close()`` sometimes waits out a 5 s join
-timeout there.
+line, ``ops_per_s`` ((system, chain) jobs per second) to its ``merged``
+line.  The time from ``merged`` to exit is the shard teardown, reported
+on its own (``runner.shard.*``) because ``LocalShardWorker.close()``
+sometimes waits out a 5 s join timeout there.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .metrics import Outcome
 from .trace import cache_ratios, layer_metrics
 
 #: Corpus size: 200 WATERS systems, 600 (system, chain) jobs.  Which
-#: corpus a seed draws moves jobs_per_s by up to a sixth; doubling the
+#: corpus a seed draws moves ops_per_s by up to a sixth; doubling the
 #: corpus halves the sweeps that fit in a run around the teardown
 #: stalls and leaves the spread no smaller.
 SYSTEMS = 200
@@ -91,7 +91,7 @@ class CorpusSweep:
         teardowns = [r["teardown_s"] for r in records]
         outcome.values = {
             "setup_s": statistics.median([r["setup_s"] for r in records]),
-            "jobs_per_s": statistics.median([r["jobs"] / r["merge_s"] for r in records]),
+            "ops_per_s": statistics.median([r["jobs"] / r["merge_s"] for r in records]),
             "peak_rss_mb": max(r["rss_kb"] for r in records) / 1024.0,
         }
         outcome.notes.append(

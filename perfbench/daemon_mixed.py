@@ -14,17 +14,20 @@ A run has two phases:
   soon as the previous one is answered.
 
 Each request opens its own connection, as ``ServiceClient`` does.  The
-daemon is started :data:`READY_SAMPLES` times per run; ``setup_s`` is
-the median time from spawn to the first 200 from ``GET /healthz``, and
-the last start serves the traffic.
+daemon is started :data:`~perfbench.common.SETUP_SAMPLES` times per
+run; ``setup_s`` is the median time from spawn to the first 200 from
+``GET /healthz``, and the last start serves the traffic.
 
-End to end the run reports ``setup_s`` and ``peak_rss_mb``.  The
-latencies, the closed-loop rate and the daemon's CPU per request are
-reported by the traced run as ``daemon.*`` figures, without a bound:
-on a shared 2-CPU host they swing by a third or more between runs of
-the same inputs (cold requests write ~14 cache files each; without
-``--cache-dir`` the cold median swings by under a tenth), wider than
-the largest bound a metric may have.
+End to end the run reports ``setup_s``, ``ops_per_s`` (the closed
+loop's answered requests per second: the median over windows of
+:data:`CLOSED_WINDOW` consecutive completions, so one slow cache write
+moves one window, not the figure) and ``peak_rss_mb``.  The open-loop
+latencies and the daemon's CPU per request are reported by the traced
+run as ``daemon.*`` figures, without a bound: on a shared 2-CPU host
+they swing by a third or more between runs of the same inputs (cold
+requests write ~14 cache files each; without ``--cache-dir`` the cold
+median swings by under a tenth), wider than the largest bound a metric
+may have.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import inputs
-from .common import WORK, Program, import_times, repro
+from .common import SETUP_SAMPLES, WORK, Program, import_times, repro
 from .metrics import Outcome
-from .stats import highest_percentile, percentile
+from .stats import highest_percentile, percentile, windowed_rate
 from .trace import cache_ratios, layer_metrics
 
 #: Open-loop arrival rate (req/s): about a third of a fresh daemon's
@@ -50,12 +53,16 @@ from .trace import cache_ratios, layer_metrics
 #: req/s); at half of it the two connections queue behind cold
 #: requests and even the warm median swings by half between runs.
 RATE = 45.0
-#: Seconds of the run given to the closed loop, sized at three times
-#: RATE; the open loop gets the rest.
-CLOSED_S = 4.0
+#: Seconds of the run given to the closed loop; the open loop gets the
+#: rest.
+CLOSED_S = 8.0
+#: Closed-loop requests per second of CLOSED_S: about a fresh daemon's
+#: capacity with two connections on a 2-CPU host (210-320 req/s).
+CLOSED_RATE = 300.0
+#: Completions per closed-loop window behind ``ops_per_s``.
+CLOSED_WINDOW = 200
 CONNECTIONS = 2
 WORKERS = 2
-READY_SAMPLES = 5
 REQUEST_TIMEOUT = 30.0
 #: Requests replayed serially in-process by the traced run.
 TRACE_REQUESTS = 400
@@ -130,7 +137,7 @@ class DaemonMixed:
 
     def __init__(self, seed: int, seconds: float):
         open_count = max(int(RATE * (seconds - CLOSED_S)), 8)
-        closed_count = max(int(3 * RATE * min(CLOSED_S, seconds / 2)), 8)
+        closed_count = max(int(CLOSED_RATE * min(CLOSED_S, seconds / 2)), 8)
         self.open, self.closed, count = inputs.daemon_schedule(
             seed, open_count, closed_count, RATE
         )
@@ -192,9 +199,11 @@ class DaemonMixed:
         _run_clients(client)
         return answers  # type: ignore[return-value]
 
-    def _closed_loop(self, port: int) -> Tuple[List[Answer], float]:
+    def _closed_loop(self, port: int) -> Tuple[List[Answer], List[float], float]:
+        """Answers, each request's completion time, and the start."""
         requests = self.closed
         answers: List[Optional[Answer]] = [None] * len(requests)
+        done_at = [0.0] * len(requests)
         cursor = iter(range(len(requests)))
         lock = threading.Lock()
         origin = time.perf_counter()
@@ -207,10 +216,11 @@ class DaemonMixed:
                     return
                 sent = time.perf_counter()
                 status, body = post(port, self.bodies[requests[index].system])
-                answers[index] = (time.perf_counter() - sent, 0.0, status, body)
+                done_at[index] = time.perf_counter()
+                answers[index] = (done_at[index] - sent, 0.0, status, body)
 
         _run_clients(client)
-        return answers, time.perf_counter() - origin  # type: ignore[return-value]
+        return answers, done_at, origin  # type: ignore[return-value]
 
     def _check(
         self, requests: Sequence[inputs.Request], answers: Sequence[Answer], outcome: Outcome
@@ -239,23 +249,23 @@ class DaemonMixed:
             )
 
     def _traffic(self, outcome: Outcome) -> Tuple[Dict, Dict]:
-        """Start the daemon READY_SAMPLES times, drive both phases on
+        """Start the daemon SETUP_SAMPLES times, drive both phases on
         the last start, return (end-to-end values, /cache/stats)."""
         readies, rss = [], 0
         daemon = None
-        for sample in range(READY_SAMPLES):
+        for sample in range(SETUP_SAMPLES):
             daemon = Daemon(self._cache_dir())
             if daemon.ready_s is None:
                 daemon.stop()
                 outcome.fail(f"daemon never became ready: {daemon.program.stderr_lines[-3:]}")
                 return {}, {}
             readies.append(daemon.ready_s)
-            if sample < READY_SAMPLES - 1:
+            if sample < SETUP_SAMPLES - 1:
                 self._stop(daemon, outcome)
                 rss = max(rss, daemon.program.max_rss_kb)
         assert daemon is not None and daemon.port is not None
         opened = self._open_loop(daemon.port)
-        closed, closed_s = self._closed_loop(daemon.port)
+        closed, done_at, origin = self._closed_loop(daemon.port)
         _, stats_body = get(daemon.port, "/cache/stats")
         self._stop(daemon, outcome)
         rss = max(rss, daemon.program.max_rss_kb)
@@ -268,6 +278,8 @@ class DaemonMixed:
             latency_ms = answer[0] * 1e3 if ok else float("inf")
             (cold if request.cold else warm).append(latency_ms)
             late.append(answer[1] * 1e3)
+        closed_s = max(done_at) - origin
+        good_done = [at for at, ok in zip(done_at, closed_ok) if ok]
         values = {
             "setup_s": statistics.median(readies),
             "peak_rss_mb": rss / 1024.0,
@@ -275,11 +287,12 @@ class DaemonMixed:
             "daemon.cold_p50_ms": percentile(cold, 50),
             "daemon.cold_p95_ms": percentile(cold, 95),
             "daemon.warm_p95_ms": percentile(warm, 95),
-            "daemon.requests_per_s": sum(closed_ok) / closed_s,
             "daemon.generator_late_p99_ms": percentile(late, 99),
             # The serving daemon's CPU per answered request, both phases.
             "daemon.cpu_ms_per_request": daemon.program.cpu_s * 1e3 / len(opened + closed),
         }
+        if good_done:
+            values["ops_per_s"] = windowed_rate(good_done, origin, CLOSED_WINDOW)
         outcome.notes.append(
             f"open loop: {len(cold)} cold (highest percentile with 10 beyond: "
             f"p{highest_percentile(len(cold))}), {len(warm)} warm "
@@ -287,7 +300,10 @@ class DaemonMixed:
             f"{percentile(late, 50):.3f} ms, p99 {percentile(late, 99):.3f} ms, "
             f"max {max(late):.3f} ms"
         )
-        outcome.notes.append(f"closed loop: {len(closed)} requests in {closed_s:.3f}s")
+        outcome.notes.append(
+            f"closed loop: {len(closed)} requests in {closed_s:.3f}s "
+            f"({sum(closed_ok) / closed_s:.1f} req/s overall)"
+        )
         try:
             stats = json.loads(stats_body)
         except ValueError:

@@ -5,8 +5,11 @@ Every victim's busy window spans dozens of activations and its
 deadline lies between its typical and full WCL, so each job runs the
 Def. 10 fixed points and the combination search over 6-9 overload
 ISRs — the regime where the numpy kernel wins.  It also runs the
-``ProcessPoolExecutor`` fan-out of ``BatchRunner``.  ``jobs_per_s``
-is timed from spawn to exit.
+``ProcessPoolExecutor`` fan-out of ``BatchRunner``.  ``ops_per_s``
+is (system, chain) jobs per second from spawn to exit.  ``batch``
+prints nothing before it is done, so ``setup_s`` is the spawn-to-exit
+time of the same command on the family's first system at ``--k 1``:
+interpreter start, system loading, the pool's start and the export.
 """
 
 from __future__ import annotations
@@ -43,9 +46,13 @@ class DeepWindow:
         if len(victims) != SYSTEMS or any(j["status"] != "weakly-hard" for j in victims):
             raise RuntimeError("deep-window family: every victim must classify weakly-hard")
         self.jobs = export["job_count"]
+        self.setup_reference = run_cli_inprocess(self.setup_args(workers=1)).encode("utf-8")
 
     def batch_args(self, workers: int) -> List[str]:
         return ["batch", "--system", *self.paths, "--workers", str(workers), "--k", *KS, "--json"]
+
+    def setup_args(self, workers: int) -> List[str]:
+        return ["batch", "--system", self.paths[0], "--workers", str(workers), "--k", "1", "--json"]
 
     def inputs_note(self) -> str:
         return f"inputs: deep-window family of {SYSTEMS} systems, digest {self.digest}"
@@ -55,9 +62,10 @@ class DeepWindow:
             repro(*self.batch_args(WORKERS)),
             self.reference,
             self.jobs,
-            "jobs_per_s",
             seconds,
             MIN_BATCHES,
+            repro(*self.setup_args(WORKERS)),
+            self.setup_reference,
         )
 
     def trace(self, seconds: float) -> Outcome:

@@ -2,8 +2,8 @@
 
 ``BENCHMARK.json`` declares every metric's name, unit and direction;
 :func:`declared` reads them from there.  This module holds only what
-that file cannot: which workload reports which end-to-end metric, and
-the layers and cache categories the traced run derives names from.
+that file cannot: the layers and cache categories the traced run
+derives names from.  Every workload reports every end-to-end metric.
 """
 
 from __future__ import annotations
@@ -11,17 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 SPEC_PATH = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
-
-#: Which end-to-end metrics each workload reports.
-WORKLOAD_METRICS: Dict[str, Tuple[str, ...]] = {
-    "corpus_sweep": ("setup_s", "jobs_per_s", "peak_rss_mb"),
-    "deep_window": ("jobs_per_s", "peak_rss_mb"),
-    "daemon_mixed": ("setup_s", "peak_rss_mb"),
-    "sim_soak": ("events_per_s", "peak_rss_mb"),
-}
 
 #: Cache categories whose hit ratio the traced run reports.
 CACHE_CATEGORIES = ("busy_time", "combo_exact", "jobs", "packing", "segments", "omega")
@@ -61,14 +53,15 @@ class Outcome:
 
     def result(self, units: Dict[str, str]) -> Dict:
         """The final report line: every metric of ``units`` (name ->
-        unit) that this run measured."""
+        unit) that this run measured.  A run that misses one of them is
+        not correct."""
         metrics = {
             name: {"value": self.values[name], "unit": unit}
             for name, unit in units.items()
             if name in self.values
         }
         return {
-            "correct": self.failed == 0 and self.attempted > 0,
+            "correct": self.failed == 0 and self.attempted > 0 and len(metrics) == len(units),
             "attempted": self.attempted,
             "failed": self.failed,
             "metrics": metrics,

@@ -9,7 +9,7 @@ reference outputs once in-process, then launches the program the way a
 user does (``repro shard``, ``repro batch``, ``repro serve``, ``repro
 simulate``) for ``--seconds`` seconds and checks every output.
 
-``--trace 0`` reports the workload's end-to-end metrics.  ``--trace 1``
+``--trace 0`` reports every end-to-end metric.  ``--trace 1``
 reports the per-layer metrics: counters from the program's public
 surfaces (``-v`` shard lines, ``GET /cache/stats``, ``--timings``) and
 spans recorded around each layer's functions during a serial
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGINT, signal.default_int_handler)
 
     from perfbench.common import WORK
-    from perfbench.metrics import WORKLOAD_METRICS, declared
+    from perfbench.metrics import declared
 
     shutil.rmtree(WORK, ignore_errors=True)
     (WORK / "tmp").mkdir(parents=True)
@@ -89,11 +89,7 @@ def main(argv=None) -> int:
     outcome = workload.trace(args.seconds) if args.trace else workload.measure(args.seconds)
     for note in outcome.notes:
         print(note)
-    if args.trace:
-        units = declared("per_layer")
-    else:
-        end_to_end = declared("end_to_end")
-        units = {name: end_to_end[name] for name in WORKLOAD_METRICS[args.workload]}
+    units = declared("per_layer" if args.trace else "end_to_end")
     print(json.dumps(outcome.result(units)))
     return 0
 

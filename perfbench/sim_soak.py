@@ -2,10 +2,13 @@
 over a horizon releasing about :data:`EVENTS` activations.
 
 The simulator is the one layer the other workloads never touch.
-``events_per_s`` is released activations per second from spawn to
-exit.  The released count is taken once in set-up from the
-critical-instant streams the command simulates, so activations still
-pending at the horizon count as well.
+``ops_per_s`` is released activations per second from spawn to exit.
+The released count is taken once in set-up from the critical-instant
+streams the command simulates, so activations still pending at the
+horizon count as well.  ``simulate`` prints nothing before it is done,
+so ``setup_s`` is the spawn-to-exit time of the same command over a
+horizon :data:`SETUP_SHARE` as long: interpreter start, system loading,
+the simulator's construction and its report.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .trace import layer_metrics
 
 EVENTS = 200_000
 MIN_RUNS = 3
+#: The set-up probe's horizon as a share of the measured one.
+SETUP_SHARE = 1 / 200
 
 
 class SimSoak:
@@ -30,16 +35,15 @@ class SimSoak:
         system, self.horizon = inputs.soak_input(seed, EVENTS)
         self.digest = inputs.systems_digest([system])
         (self.path,) = inputs.write_systems([system], WORK / "soak")
+        self.setup_horizon = max(int(self.horizon * SETUP_SHARE), 1)
         # The scalar engine is the reference the default kernel must match.
-        program = run_program(repro(*self.args(), "--kernel", "python"))
-        if program.returncode != 0:
-            raise RuntimeError(f"reference simulation failed: {program.stderr_lines[-3:]}")
-        self.reference = program.stdout
+        self.reference = _scalar_stdout(self.args(self.horizon))
+        self.setup_reference = _scalar_stdout(self.args(self.setup_horizon))
         streams = worst_case_activations(system, self.horizon)
         self.events = sum(len(stream) for stream in streams.values())
 
-    def args(self) -> List[str]:
-        return ["simulate", "--system", self.path, "--horizon", str(self.horizon)]
+    def args(self, horizon: int) -> List[str]:
+        return ["simulate", "--system", self.path, "--horizon", str(horizon)]
 
     def inputs_note(self) -> str:
         return (
@@ -49,19 +53,20 @@ class SimSoak:
 
     def measure(self, seconds: float) -> Outcome:
         return measure_repeated(
-            repro(*self.args()),
+            repro(*self.args(self.horizon)),
             self.reference,
             self.events,
-            "events_per_s",
             seconds,
             MIN_RUNS,
+            repro(*self.args(self.setup_horizon)),
+            self.setup_reference,
         )
 
     def trace(self, seconds: float) -> Outcome:
         outcome = Outcome()
         import_s, numpy_s = import_times()
         outcome.attempted += 1
-        argv = self.args()
+        argv = self.args(self.horizon)
         layers, text = layer_metrics(
             lambda: run_cli_inprocess(argv), WORK / f"spans-{self.name}.jsonl"
         )
@@ -71,3 +76,10 @@ class SimSoak:
         layers["startup.numpy_import_s"] = numpy_s
         outcome.values = layers
         return outcome
+
+
+def _scalar_stdout(args: List[str]) -> bytes:
+    program = run_program(repro(*args, "--kernel", "python"))
+    if program.returncode != 0:
+        raise RuntimeError(f"reference simulation failed: {program.stderr_lines[-3:]}")
+    return program.stdout

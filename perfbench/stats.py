@@ -50,3 +50,17 @@ def relative_iqr(values: Sequence[float]) -> float:
     benchmark's bounds are compared with."""
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return (q3 - q1) / q2 if q2 else math.inf
+
+
+def windowed_rate(done_at: Sequence[float], origin: float, window: int) -> float:
+    """Median completions per second over consecutive windows of
+    ``window`` completions, the first window starting at ``origin``;
+    completions past the last full window are dropped.  With fewer
+    than ``window`` completions, the rate over all of them."""
+    times = sorted(done_at)
+    if not times:
+        raise ValueError("rate of no completions")
+    if len(times) < window:
+        return len(times) / (times[-1] - origin)
+    edges = [origin] + times[window - 1 :: window]
+    return statistics.median(window / (end - start) for start, end in zip(edges, edges[1:]))

@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from perfbench.metrics import CACHE_CATEGORIES, SPAN_LAYERS, WORKLOAD_METRICS
+from perfbench.metrics import CACHE_CATEGORIES, SPAN_LAYERS, Outcome, declared
 from perfbench.run import WORKLOADS
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -24,17 +24,14 @@ def test_keys_and_command():
 
 def test_workloads_match_the_runner():
     names = [w["name"] for w in SPEC["workloads"]]
-    assert names == list(WORKLOADS) == list(WORKLOAD_METRICS)
+    assert names == list(WORKLOADS)
     for workload in SPEC["workloads"]:
         assert set(workload) == {"name", "why"}
         assert len(workload["why"]) <= 200 and "\n" not in workload["why"]
 
 
-def test_every_reported_metric_is_declared():
-    end_to_end = {m["name"] for m in SPEC["end_to_end"]}
+def test_every_span_derived_metric_is_declared():
     per_layer = {m["name"] for m in SPEC["per_layer"]}
-    reported = {name for names in WORKLOAD_METRICS.values() for name in names}
-    assert reported == end_to_end
     derived = {f"{layer}.{kind}" for layer in SPAN_LAYERS for kind in ("calls", "self_s")}
     derived |= {f"runner.cache.{category}.hit_ratio" for category in CACHE_CATEGORIES}
     assert derived <= per_layer
@@ -54,3 +51,13 @@ def test_names_units_and_bounds():
     assert all(0 < bound <= 0.25 for bound in bounds.values())
     assert bounds["setup_s"] == max(bounds.values())
     assert len((ROOT / "BENCHMARK.json").read_bytes()) <= 64 * 1024
+
+
+def test_a_run_missing_a_metric_is_not_correct():
+    units = declared("end_to_end")
+    values = {name: 1.0 for name in units}
+    assert Outcome(attempted=1, values=values).result(units)["correct"]
+    values.pop("setup_s")
+    result = Outcome(attempted=1, values=values).result(units)
+    assert not result["correct"]
+    assert "setup_s" not in result["metrics"]

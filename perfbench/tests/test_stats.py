@@ -1,6 +1,6 @@
 import pytest
 
-from perfbench.stats import highest_percentile, percentile, relative_iqr
+from perfbench.stats import highest_percentile, percentile, relative_iqr, windowed_rate
 
 
 @pytest.mark.parametrize(
@@ -39,3 +39,11 @@ def test_percentile_of_failures_is_infinite():
 def test_relative_iqr():
     assert relative_iqr([10.0] * 10) == 0.0
     assert relative_iqr([9.0, 10.0, 10.0, 11.0]) > 0
+
+
+def test_windowed_rate_takes_the_median_window():
+    # Windows of 2 completions: 1 s, 1 s, then a 10 s stall; the stall
+    # moves one window, not the median; the odd last completion drops.
+    done = [0.5, 1.0, 1.5, 2.0, 7.0, 12.0, 12.1]
+    assert windowed_rate(done, 0.0, 2) == pytest.approx(2.0)
+    assert windowed_rate([1.0, 2.0], 0.0, 5) == pytest.approx(1.0)
