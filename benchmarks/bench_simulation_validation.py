@@ -30,7 +30,7 @@ def simulate_checked(system, horizon):
     — the validation bench doubles as a backend parity check."""
     result = simulate_worst_case(system, horizon)
     if HAVE_NUMPY:
-        other = "python" if kernel_name() == "numpy" else "numpy"
+        other = "python" if kernel_name() != "python" else "numpy"
         with using_kernel(other):
             reference = simulate_worst_case(system, horizon)
         assert trace_json(result) == trace_json(reference), \

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
-from ..kernel import numpy_or_none, solve_monotone_fixed_points
+from ..kernel import numpy_for, numpy_or_none, solve_monotone_fixed_points
 from ..model import System, TaskChain
 from .exceptions import BusyWindowDivergence
 from .interference import is_deferred
@@ -72,29 +72,41 @@ class _InterferenceModel:
     """
 
     def __init__(self, system: System, target: TaskChain, include_overload: bool):
-        self.target = target
-        self.interferers = [
-            chain
-            for chain in system.others(target)
-            if include_overload or not chain.overload
-        ]
-        self.deferred = {c.name: is_deferred(c, target) for c in self.interferers}
+        self.target_wcet = target.total_wcet
         self.header_cost = sum(t.wcet for t in target.header_prefix())
-        self.deferred_static: Dict[str, float] = {}
-        self.deferred_async_headers: Dict[str, float] = {}
-        for chain in self.interferers:
-            if not self.deferred[chain.name]:
+        self.self_activation = (
+            target.activation
+            if target.is_asynchronous and self.header_cost > 0
+            else None
+        )
+        # Interferers whose term depends on the window, in system order:
+        # ``(name, activation, weight, static)`` with ``static`` None
+        # for an arbitrary interferer (``eta * total_wcet``) and the
+        # static segment cost of a deferred asynchronous one
+        # (``eta * header_wcet + static``).  Deferred synchronous
+        # interferers cost a constant: ``(name, static)``.
+        self.window_terms = []
+        self.sync_terms = []
+        for chain in system.others(target):
+            if chain.overload and not include_overload:
                 continue
-            if chain.is_asynchronous:
-                self.deferred_async_headers[chain.name] = header_segment(
-                    chain, target
-                ).wcet
-                self.deferred_static[chain.name] = sum(
-                    seg.wcet for seg in segments(chain, target)
+            if not is_deferred(chain, target):
+                self.window_terms.append(
+                    (chain.name, chain.activation, chain.total_wcet, None)
+                )
+            elif chain.is_asynchronous:
+                self.window_terms.append(
+                    (
+                        chain.name,
+                        chain.activation,
+                        header_segment(chain, target).wcet,
+                        sum(seg.wcet for seg in segments(chain, target)),
+                    )
                 )
             else:
                 crit = critical_segment(chain, target)
-                self.deferred_static[chain.name] = crit.wcet if crit else 0.0
+                self.sync_terms.append((chain.name, crit.wcet if crit else 0.0))
+        self.sync_total = sum(static for _, static in self.sync_terms)
 
     def evaluate(
         self,
@@ -104,34 +116,25 @@ class _InterferenceModel:
         base_demand: Optional[float] = None,
     ) -> BusyTimeBreakdown:
         """One application of the Theorem 1 sum at window ``horizon``."""
-        target = self.target
-        base = q * target.total_wcet if base_demand is None else base_demand
+        base = q * self.target_wcet if base_demand is None else base_demand
         arbitrary: Dict[str, float] = {}
         deferred_async: Dict[str, float] = {}
-        deferred_sync: Dict[str, float] = {}
         self_interference = 0.0
-        if target.is_asynchronous and self.header_cost > 0:
-            backlog = max(0, target.activation.eta_plus(horizon) - q)
+        if self.self_activation is not None:
+            backlog = max(0, self.self_activation.eta_plus(horizon) - q)
             self_interference = backlog * self.header_cost
-        for chain in self.interferers:
-            if not self.deferred[chain.name]:
-                arbitrary[chain.name] = (
-                    chain.activation.eta_plus(horizon) * chain.total_wcet
-                )
-            elif chain.is_asynchronous:
-                deferred_async[chain.name] = (
-                    chain.activation.eta_plus(horizon)
-                    * self.deferred_async_headers[chain.name]
-                    + self.deferred_static[chain.name]
-                )
+        for name, activation, weight, static in self.window_terms:
+            if static is None:
+                arbitrary[name] = activation.eta_plus(horizon) * weight
             else:
-                deferred_sync[chain.name] = self.deferred_static[chain.name]
+                deferred_async[name] = activation.eta_plus(horizon) * weight + static
+        deferred_sync = dict(self.sync_terms)
         total = (
             base
             + self_interference
             + sum(arbitrary.values())
             + sum(deferred_async.values())
-            + sum(deferred_sync.values())
+            + self.sync_total
             + combination_cost
         )
         return BusyTimeBreakdown(
@@ -145,6 +148,30 @@ class _InterferenceModel:
             total=total,
         )
 
+    def total(self, q: int, horizon: float, combination_cost: float = 0.0) -> float:
+        """``evaluate(q, horizon, combination_cost).total`` without the
+        breakdown: the same terms, probed and summed in the same order,
+        so the value is identical."""
+        self_interference = 0.0
+        if self.self_activation is not None:
+            backlog = max(0, self.self_activation.eta_plus(horizon) - q)
+            self_interference = backlog * self.header_cost
+        arbitrary = []
+        deferred_async = []
+        for _, activation, weight, static in self.window_terms:
+            if static is None:
+                arbitrary.append(activation.eta_plus(horizon) * weight)
+            else:
+                deferred_async.append(activation.eta_plus(horizon) * weight + static)
+        return (
+            q * self.target_wcet
+            + self_interference
+            + sum(arbitrary)
+            + sum(deferred_async)
+            + self.sync_total
+            + combination_cost
+        )
+
     def totals_many(
         self,
         qs: Sequence[int],
@@ -153,44 +180,42 @@ class _InterferenceModel:
     ) -> Sequence[float]:
         """Theorem 1 totals for many ``(q, horizon)`` pairs at once.
 
-        Under the numpy kernel every arrival curve is evaluated once
-        over the whole horizon vector (one ``searchsorted`` per chain
-        instead of one scalar probe per ``q`` per Kleene step), and the
-        five components are accumulated in exactly the order of
-        :meth:`evaluate`, so the totals are value-identical.  Under the
-        pure-Python kernel it simply loops :meth:`evaluate` — the
-        differential reference of the kernel parity tests.
+        A batch origin when ``horizons`` is a plain sequence: the numpy
+        path is taken when :func:`~repro.kernel.numpy_for` says so for
+        ``len(qs)`` pairs.  An ndarray ``horizons`` comes from a vector
+        caller and always takes the numpy path.  There every arrival
+        curve is evaluated once over the whole horizon vector (one
+        ``searchsorted`` per chain instead of one scalar probe per
+        ``q`` per Kleene step), and the five components are accumulated
+        in exactly the order of :meth:`evaluate`, so the totals are
+        value-identical.  The pure-Python path loops :meth:`total` —
+        the differential reference of the kernel parity tests.
         """
-        np = numpy_or_none()
+        if hasattr(horizons, "dtype"):  # an ndarray from a vector caller
+            np = numpy_or_none()
+        else:
+            np = numpy_for(len(qs))
         if np is None:
+            total = self.total
             return [
-                self.evaluate(q, horizon, combination_cost).total
+                total(q, horizon, combination_cost)
                 for q, horizon in zip(qs, horizons)
             ]
-        target = self.target
         q_arr = np.asarray(qs, dtype=np.int64)
         h_arr = np.asarray(horizons, dtype=np.float64)
-        total = q_arr * float(target.total_wcet)
-        if target.is_asynchronous and self.header_cost > 0:
-            backlog = target.activation.eta_plus_many(h_arr) - q_arr
+        total = q_arr * float(self.target_wcet)
+        if self.self_activation is not None:
+            backlog = self.self_activation.eta_plus_many(h_arr) - q_arr
             total = total + np.maximum(backlog, 0) * float(self.header_cost)
         arbitrary_sum = 0.0
         async_sum = 0.0
-        sync_sum = 0.0
-        for chain in self.interferers:
-            if not self.deferred[chain.name]:
-                arbitrary_sum = arbitrary_sum + chain.activation.eta_plus_many(
-                    h_arr
-                ) * float(chain.total_wcet)
-            elif chain.is_asynchronous:
-                async_sum = async_sum + (
-                    chain.activation.eta_plus_many(h_arr)
-                    * float(self.deferred_async_headers[chain.name])
-                    + float(self.deferred_static[chain.name])
-                )
+        for _, activation, weight, static in self.window_terms:
+            eta = activation.eta_plus_many(h_arr)
+            if static is None:
+                arbitrary_sum = arbitrary_sum + eta * float(weight)
             else:
-                sync_sum = sync_sum + self.deferred_static[chain.name]
-        total = total + arbitrary_sum + async_sum + sync_sum
+                async_sum = async_sum + (eta * float(weight) + float(static))
+        total = total + arbitrary_sum + async_sum + self.sync_total
         if combination_cost:
             total = total + combination_cost
         return total
@@ -473,7 +498,7 @@ def _busy_times_block(
         )
 
     def totals_one(index, horizon):
-        return model.evaluate(pending[index], horizon, combination_cost).total
+        return model.total(pending[index], horizon, combination_cost)
 
     values, iterations, failures = solve_monotone_fixed_points(
         starts,

@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ilp import IntegerProgram, PackingEngine, PackingInstance, solve
 from ..ilp.branch_bound import solve_branch_bound
-from ..kernel import numpy_or_none, solve_monotone_fixed_points_2d
+from ..kernel import numpy_for, solve_monotone_fixed_points_2d
 from ..model import System, TaskChain
 from .busy_window import (
     _busy_times_block,
@@ -712,7 +712,7 @@ def _build_verdict(
                 system, target, include_overload=False
             )
         model = typical_model[0]
-        np = numpy_or_none()
+        np = numpy_for(len(qs))
         activations = [(system[name].activation, weight) for name, weight in signature]
         horizons = [
             max(typicals[q], q * target.total_wcet, 1.0) for q in qs
@@ -721,8 +721,9 @@ def _build_verdict(
         active = list(range(len(qs)))
         while active:
             probe = [horizons[i] for i in active]
+            if np is not None:
+                probe = np.asarray(probe, dtype=np.float64)
             typical_totals = model.totals_many([qs[i] for i in active], probe)
-            cost = 0.0
             if np is None:
                 costs = [
                     sum(
@@ -733,11 +734,12 @@ def _build_verdict(
                 ]
                 totals = [t + c for t, c in zip(typical_totals, costs)]
             else:
+                cost = 0.0
                 for activation, weight in activations:
                     cost = cost + weight * np.maximum(
                         activation.eta_plus_many(probe), 1
                     )
-                totals = typical_totals + cost
+                totals = (typical_totals + cost).tolist()
             next_active = []
             for i, total in zip(active, totals):
                 total = float(total)
@@ -784,7 +786,7 @@ def _build_verdict(
                 system, target, include_overload=False
             )
         model = typical_model[0]
-        np = numpy_or_none()
+        np = numpy_for(len(signatures) * len(qs))
         acts = [
             [(system[name].activation, weight) for name, weight in signature]
             for signature in signatures
@@ -847,7 +849,7 @@ def _build_verdict(
                 return total - delta_by_col[c] > deadline
 
         def totals_one(r, c, horizon):
-            return model.evaluate(qs[c], horizon).total + sum(
+            return model.total(qs[c], horizon) + sum(
                 weight * max(1, activation.eta_plus(horizon))
                 for activation, weight in acts[r]
             )

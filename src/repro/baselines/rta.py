@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..arrivals import EventModel
-from ..kernel import numpy_or_none, solve_monotone_fixed_points
+from ..kernel import numpy_for, solve_monotone_fixed_points
 
 #: Iteration / queue-depth guards (mirroring repro.analysis.busy_window).
 MAX_WINDOW = 10.0**12
@@ -89,7 +89,7 @@ def _demands_many(
 ) -> Sequence[float]:
     """The demand of many ``(q, horizon)`` pairs at once, accumulated in
     the order of :func:`_demand` — value-identical either way."""
-    np = numpy_or_none()
+    np = numpy_for(len(qs))
     if np is None:
         return [
             _demand(higher, target, q, horizon, extra_load)

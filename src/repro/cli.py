@@ -104,8 +104,8 @@ def add_analysis_options(parser: argparse.ArgumentParser) -> None:
         choices=("auto", "numpy", "python"),
         help="numeric kernel for curves, fixed points and the "
         "simplex tableau (default: REPRO_KERNEL, else auto = "
-        "numpy when available); results are byte-identical "
-        "either way",
+        "numpy for large batches, pure Python for small ones); "
+        "results are byte-identical either way",
     )
     group.add_argument(
         "--cache-dir",

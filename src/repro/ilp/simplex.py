@@ -11,11 +11,11 @@ produced by Theorem 3 (tens of variables / rows), not for scale:
 Problem shape: ``maximize c . x  subject to  A x <= b,  x >= 0``.
 Variable upper bounds must be encoded as explicit rows by the caller.
 
-The tableau itself is kernel-switched (see :mod:`repro.kernel`): under
-the numpy kernel it is one dense ``float64`` ndarray and every pivot row
-update, reduced-cost accumulation and basis-inverse product is a single
-vectorized expression; under the pure-Python kernel it is the historic
-list-of-lists reference.  The two backends run the identical
+The tableau itself is kernel-switched (see :mod:`repro.kernel`, sized
+by its rows): on the numpy path it is one dense ``float64`` ndarray
+and every pivot row update, reduced-cost accumulation and basis-inverse
+product is a single vectorized expression; on the pure-Python path it
+is the historic list-of-lists reference.  The two backends run the identical
 elementwise float64 arithmetic and all pivot *selection* (Bland's rule,
 the ratio tests) runs on identical Python floats, so pivot sequences —
 and therefore results — are bit-identical.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from ..kernel import numpy_or_none
+from ..kernel import numpy_for
 
 #: Numerical tolerance for pivoting / optimality tests.
 EPSILON = 1e-9
@@ -73,7 +73,8 @@ class SimplexResult:
 class _Tableau:
     """Standard-form dense tableau with the shared pivot machinery.
 
-    Storage is selected at construction from the active kernel: a
+    Storage is selected at construction by the kernel for a batch of
+    ``num_rows`` cells — a pivot updates every row at once — as a
     ``float64`` ndarray (vectorized row operations) or a list of lists
     (the pure-Python reference).  Rows are materialized as Python float
     lists for the selection loops either way, which is what keeps the
@@ -116,7 +117,7 @@ class _Tableau:
                 self.basis.append(column)
         self.width = total + len(self.artificial_cols)
 
-        self._np = numpy_or_none()
+        self._np = numpy_for(self.num_rows)
         if self._np is None:
             self.rows: Optional[List[List[float]]] = built
             self._matrix = None

@@ -2,59 +2,100 @@
 
 The hot numeric loops of the library — staircase-curve evaluation
 (:mod:`repro.arrivals.staircase`), the batched Theorem 1 Kleene
-iterations (:mod:`repro.analysis.busy_window`) and the dense simplex
-tableau (:mod:`repro.ilp.simplex`) — each have two interchangeable
+iterations (:mod:`repro.analysis.busy_window`), the Def. 10 evaluators
+(:mod:`repro.analysis.twca`) and the dense simplex tableau
+(:mod:`repro.ilp.simplex`) — each have two interchangeable
 implementations: a vectorized numpy one and a pure-Python reference.
 This module owns the switch between them.
 
 Selection is process-wide and resolved once, from the ``REPRO_KERNEL``
 environment variable:
 
-* ``auto`` (default, also the empty string): numpy when importable,
-  pure Python otherwise;
-* ``numpy``: force the vectorized kernel; raises
-  :class:`KernelUnavailable` when numpy is not installed;
-* ``python``: force the pure-Python reference even when numpy is
-  available (the differential baseline of the kernel-parity tests).
+* ``auto`` (default, also the empty string): chosen per batch by size.
+  A batch of fewer than :data:`VECTOR_MIN` cells takes the pure-Python
+  path, a larger one the numpy path.  Without numpy every batch takes
+  the pure-Python path;
+* ``numpy``: force the vectorized kernel for every batch, however
+  small; raises :class:`KernelUnavailable` when numpy is not installed;
+* ``python``: force the pure-Python reference for every batch (the
+  differential baseline of the kernel-parity tests).
+
+Where a batch starts — ``_InterferenceModel.totals_many`` called with
+plain lists (sized by its q count), the multi-q and block Def. 10
+evaluators (by q count, and by signatures x q), the simplex tableau
+(by its rows), the response-time baseline's batched demands (by q
+count) — the site asks :func:`numpy_for` with its size.  The
+helpers it calls follow their input: an ndarray passed in means the
+numpy path.  The simulator sites see event-count batches and use
+:func:`numpy_or_none`, which vectorizes under ``auto`` too.
+
+numpy itself is imported on the first vector batch, not at start-up,
+so a run whose batches all stay small (``repro --help``, a small
+``repro batch``, a daemon client) never imports it.  The daemons
+(``repro serve``, ``repro shard-worker``) are the exception: they call
+:func:`preload` before listening, so a daemon's memory footprint and
+the latency of its first large request do not depend on which systems
+it is sent.
+
+:func:`kernel_name` reports the selection, not a resolution:
+``"auto"``, ``"numpy"`` or ``"python"`` (``auto`` without numpy
+reports ``"python"``, since every batch then takes that path).  The
+daemon's ``/healthz``, its ``/cache/stats`` and the ``--timings``
+fields of a batch export carry the same name.
 
 :func:`set_kernel` (surfaced as ``--kernel`` on the analyzing CLI
-subcommands) writes the choice back into ``os.environ`` so that batch
-worker processes inherit it; both kernels are bit-identical by design,
-so the switch never changes results, only wall-clock time.
+subcommands) writes the requested name back into ``os.environ`` so
+that batch and shard worker processes inherit it — ``auto`` stays
+``auto`` there.  Both kernels are bit-identical by design, so the
+switch never changes results, only wall-clock time.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - the no-numpy CI leg
-    _numpy = None
-
 #: Whether numpy is importable in this process (independent of the
-#: selected kernel).
-HAVE_NUMPY = _numpy is not None
+#: selected kernel).  Found without importing it.
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
-#: The two concrete kernels (``auto`` resolves to one of these).
+#: The two concrete kernels (``auto`` picks one of these per batch).
 KERNELS: Tuple[str, ...] = ("numpy", "python")
+
+#: Smallest batch, in cells, that ``auto`` sends to numpy; below it
+#: numpy's fixed cost per call outweighs the vector work.  Chosen end
+#: to end on a shared 2-vCPU Xeon (Python 3.11, numpy 2.4): wall time
+#: of an in-process ``repro shard --serial`` over the 200-system WATERS
+#: corpus of seed 301 (most batches 1-8 q, every tableau 2 rows) and of
+#: ``repro batch`` over the 64-system deep-window family of the same
+#: seed (batches up to hundreds of cells), median of 5 runs (2 runs for
+#: the first and last rows):
+#:
+#: ===========  ==========  ===========
+#: VECTOR_MIN   corpus      deep window
+#: 1 (numpy)    2.1-2.2 s   3.3-3.8 s
+#: 16           1.20 s      2.93 s
+#: 32           1.13 s      2.56 s
+#: 64           1.16 s      2.72 s
+#: (python)     1.1-1.2 s   8.6-8.8 s
+#: ===========  ==========  ===========
+VECTOR_MIN = 32
 
 _ENV_VAR = "REPRO_KERNEL"
 
 _active: Optional[str] = None
+_numpy = None
 
 
 class KernelUnavailable(RuntimeError):
     """A kernel was requested that this interpreter cannot provide."""
 
 
-def _resolve(name: Optional[str]) -> str:
-    raw = ("auto" if name is None else str(name)).strip().lower()
-    if raw in ("", "auto"):
-        return "numpy" if HAVE_NUMPY else "python"
-    if raw not in KERNELS:
+def _normalize(name: Optional[str]) -> str:
+    raw = ("" if name is None else str(name)).strip().lower() or "auto"
+    if raw != "auto" and raw not in KERNELS:
         raise ValueError(
             f"unknown kernel {name!r}; expected one of {('auto',) + KERNELS}"
         )
@@ -66,26 +107,65 @@ def _resolve(name: Optional[str]) -> str:
     return raw
 
 
+def _resolve(raw: str) -> str:
+    return "python" if raw == "auto" and not HAVE_NUMPY else raw
+
+
 def kernel_name() -> str:
-    """The active kernel (``"numpy"`` or ``"python"``), resolved from
-    ``REPRO_KERNEL`` on first use."""
+    """The active selection (``"auto"``, ``"numpy"`` or ``"python"``),
+    resolved from ``REPRO_KERNEL`` on first use."""
     global _active
     if _active is None:
-        _active = _resolve(os.environ.get(_ENV_VAR))
+        _active = _resolve(_normalize(os.environ.get(_ENV_VAR)))
     return _active
 
 
-def numpy_or_none():
-    """The numpy module when the numpy kernel is active, else ``None``.
+def _import_numpy():
+    global _numpy
+    import numpy
 
-    The idiom of every dual-implementation site::
+    _numpy = numpy
+    return numpy
 
-        np = numpy_or_none()
+
+def numpy_for(size: int):
+    """The numpy module when a batch of ``size`` cells should take the
+    vector path, else ``None``.
+
+    The idiom of every batch-origin site::
+
+        np = numpy_for(len(batch))
         if np is None:
             ... pure-Python reference ...
         ... vectorized path ...
+
+    Under ``auto`` the answer depends on ``size`` (see
+    :data:`VECTOR_MIN`); the forced kernels ignore it.
     """
-    return _numpy if kernel_name() == "numpy" else None
+    active = _active or kernel_name()
+    if active == "python" or (active == "auto" and size < VECTOR_MIN):
+        return None
+    return _numpy or _import_numpy()
+
+
+def numpy_or_none():
+    """The numpy module unless the pure-Python kernel is selected.
+
+    For sites that do not size their batches (the simulator's event
+    streams) and for helpers reached from a vector path; ``auto``
+    vectorizes here, as for any batch of :data:`VECTOR_MIN` cells.
+    """
+    return numpy_for(VECTOR_MIN)
+
+
+def preload() -> None:
+    """Import numpy now unless the pure-Python kernel is selected.
+
+    For long-running processes that serve whatever systems arrive: a
+    batch of :data:`VECTOR_MIN` cells or more may come at any time, so
+    they pay the import once at start-up instead of on that request.
+    """
+    numpy_or_none()
 
 
 def set_kernel(name: Optional[str]) -> str:
@@ -94,14 +174,15 @@ def set_kernel(name: Optional[str]) -> str:
     ``name`` is ``"auto"``/``None``, ``"numpy"`` or ``"python"``.  The
     request is validated eagerly (``"numpy"`` without numpy raises
     :class:`KernelUnavailable`), installed process-wide, and mirrored
-    into ``os.environ[REPRO_KERNEL]`` so that spawned batch workers
-    resolve the identical choice.  Returns the resolved kernel name.
+    into ``os.environ[REPRO_KERNEL]`` as requested, so that spawned
+    batch and shard workers make the identical choice.  Returns the
+    active selection as :func:`kernel_name` reports it.
     """
     global _active
-    resolved = _resolve(name)
-    _active = resolved
-    os.environ[_ENV_VAR] = resolved
-    return resolved
+    requested = _normalize(name)
+    _active = _resolve(requested)
+    os.environ[_ENV_VAR] = requested
+    return _active
 
 
 @contextmanager

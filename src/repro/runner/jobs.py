@@ -168,7 +168,8 @@ class JobResult:
     bound.  ``elapsed`` (seconds), ``cache`` (counter deltas),
     ``packing`` (the packing-engine solver counters of
     :meth:`~repro.analysis.twca.ChainTwcaResult.packing_stats`) and the
-    active numeric ``kernel`` are observability fields excluded from
+    numeric ``kernel`` selection (``auto``, ``numpy`` or ``python``)
+    are observability fields excluded from
     deterministic exports — both kernels produce byte-identical
     deterministic payloads by design.
     """

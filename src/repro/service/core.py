@@ -443,9 +443,9 @@ class AnalysisService:
         """The ``GET /cache/stats`` payload: per-category cache
         counters plus the service-level request accounting, the
         compute-pool bound (``workers``), the number of computes
-        executing right now (``inflight``) and the active numeric
-        kernel (``kernel`` — how operators tell numpy from pure-python
-        deployments apart)."""
+        executing right now (``inflight``) and the numeric kernel
+        selection (``kernel``: ``auto``, ``numpy`` or ``python``, as
+        :func:`~repro.kernel.kernel_name` reports it)."""
         with self._lock:
             service: Dict[str, Any] = dict(self.counters)
             service["systems"] = len(self._systems)

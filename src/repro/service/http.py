@@ -18,7 +18,8 @@
   ``repro shard-worker`` is ``repro serve`` under another name.
 * ``GET /cache/stats`` — per-category cache counters plus service
   request accounting (requests, computes, coalesced, merged, systems).
-* ``GET /healthz`` — liveness, version and the active numeric kernel.
+* ``GET /healthz`` — liveness, version and the numeric kernel
+  selection (``auto``, ``numpy`` or ``python``).
 
 Malformed requests are answered with structured ``400`` bodies
 (``{"error": ...}``); unknown paths with ``404``; anything else that
@@ -40,7 +41,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..kernel import kernel_name
+from ..kernel import kernel_name, preload
 from ..runner.jobs import AnalysisJob, JobResult
 from ..runner.retry import NO_RETRY, RetryPolicy
 from .api import AnalysisOptions, AnalysisRequest, RequestError
@@ -240,7 +241,11 @@ def serve_forever(
 
     ``workers`` bounds the concurrently executing computes (ignored
     when an explicit ``service`` is passed — it already owns a pool).
+    The vector kernel is imported before listening
+    (:func:`~repro.kernel.preload`), so the daemon's footprint does not
+    depend on the systems it is sent.
     """
+    preload()
     service = (
         service
         if service is not None

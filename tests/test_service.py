@@ -223,7 +223,7 @@ class TestHttpServer:
     def test_healthz(self, server):
         health = ServiceClient(server.url).health()
         assert health["status"] == "ok"
-        assert health["kernel"] in ("numpy", "python")
+        assert health["kernel"] in ("auto", "numpy", "python")
 
     def test_analyze_round_trip_matches_in_process(self, server, service, system):
         request = AnalysisRequest.from_system(system, chain="sigma_c", ks=(3,))
