@@ -28,7 +28,7 @@ import math
 from abc import ABC, abstractmethod
 from typing import Optional, Sequence
 
-from ..kernel import numpy_or_none
+from ..kernel import numpy_for_batch, numpy_or_none
 from .staircase import StaircaseKernel
 
 #: Sentinel distinguishing "never compiled" from "compiled to None".
@@ -133,7 +133,7 @@ class EventModel(ABC):
         if kernel is not None:
             return kernel.delta_many(ks)
         values = [self.delta_minus(int(k)) for k in ks]
-        np = numpy_or_none()
+        np = numpy_for_batch(ks)
         if np is not None:
             return np.asarray(values, dtype=np.float64)
         return values
@@ -143,7 +143,7 @@ class EventModel(ABC):
         with a closed form override it with vectorized arithmetic).
         ``math.inf`` entries are preserved."""
         values = [self.delta_plus(int(k)) for k in ks]
-        np = numpy_or_none()
+        np = numpy_for_batch(ks)
         if np is not None:
             return np.asarray(values, dtype=np.float64)
         return values

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..kernel import numpy_or_none
+from ..kernel import numpy_for_batch
 from .base import EventModel
 from .staircase import (
     COMPILE_LIMIT,
@@ -67,7 +67,7 @@ class PeriodicModel(EventModel):
         return (k - 1) * self.period + self.jitter
 
     def delta_plus_many(self, ks):
-        np = numpy_or_none()
+        np = numpy_for_batch(ks)
         if np is None:
             return [self.delta_plus(int(k)) for k in ks]
         arr = np.asarray(ks, dtype=np.int64)

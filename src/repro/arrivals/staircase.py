@@ -29,7 +29,7 @@ import bisect
 import math
 from typing import List, Optional, Sequence
 
-from ..kernel import numpy_or_none
+from ..kernel import numpy_for_batch, numpy_or_none
 
 #: Entry bound of the per-kernel scalar ``eta_plus`` memo table;
 #: reaching it clears the table (analyses probe a bounded set of
@@ -124,7 +124,7 @@ class StaircaseKernel:
         differential reference).  Returns a ``float64`` ndarray
         (numpy) or a list (python).
         """
-        np = numpy_or_none()
+        np = numpy_for_batch(ks)
         if np is None:
             return [self.delta(int(k)) for k in ks]
         arr = np.asarray(ks, dtype=np.int64)

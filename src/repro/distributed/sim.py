@@ -14,17 +14,20 @@ as its tasks complete.  Semantics mirror :mod:`repro.sim.engine`:
 Used to validate the distributed analysis empirically — leg and
 end-to-end latencies must stay below the converged bounds.
 
-Under the numpy kernel the run is fast-forwarded with the same
-event-calendar classification as :mod:`repro.sim.calendar`: the
-serialized busy-finish prefix scan remains a sound bound here because
-the multi-resource loop is globally work-conserving (whenever work is
-pending, the earliest unfinished instance of some chain has a ready
-job, so at least one resource is busy and total work drains at rate
->= 1).  Instances isolated behind the conservative margin execute
-alone across all resources, so their task finishes are the plain
-sequential float sums the scalar loop would compute; contended
-stretches replay through the identical scalar loop seeded with the
-per-task FIFO counters.  Results are bit-identical across kernels.
+When :func:`~repro.kernel.numpy_for` sends the run's releases to the
+vector path (always under ``REPRO_KERNEL=numpy``, from
+:data:`~repro.kernel.VECTOR_MIN` releases up under ``auto``), the run is
+fast-forwarded with the same event-calendar classification as
+:mod:`repro.sim.calendar`: the serialized busy-finish prefix scan
+remains a sound bound here because the multi-resource loop is globally
+work-conserving (whenever work is pending, the earliest unfinished
+instance of some chain has a ready job, so at least one resource is busy
+and total work drains at rate >= 1).  Instances isolated behind the
+conservative margin execute alone across all resources, so their task
+finishes are the plain sequential float sums the scalar loop would
+compute; contended stretches replay through the identical scalar loop
+seeded with the per-task FIFO counters.  Results are bit-identical
+across kernels.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..kernel import numpy_or_none
+from ..kernel import numpy_for
 from .model import DistributedChain, DistributedSystem
 
 
@@ -147,7 +150,7 @@ class DistributedSimulator:
             releases.extend((t, chain, i) for i, t in enumerate(times))
         releases.sort(key=lambda item: item[0])
 
-        np = numpy_or_none()
+        np = numpy_for(len(releases))
         if np is not None and releases:
             self._run_calendar(np, records, releases)
         else:

@@ -24,10 +24,11 @@ Where a batch starts — ``_InterferenceModel.totals_many`` called with
 plain lists (sized by its q count), the multi-q and block Def. 10
 evaluators (by q count, and by signatures x q), the simplex tableau
 (by its rows), the response-time baseline's batched demands (by q
-count) — the site asks :func:`numpy_for` with its size.  The
-helpers it calls follow their input: an ndarray passed in means the
-numpy path.  The simulator sites see event-count batches and use
-:func:`numpy_or_none`, which vectorizes under ``auto`` too.
+count), the simulator (by the activations it is given) and its
+activation streams (by event count) — the site asks :func:`numpy_for`
+with its size.  The helpers it calls follow their input: an ndarray
+passed in means the numpy path (:func:`numpy_for_batch`), and the
+metrics over a simulation result follow the trace it carries.
 
 numpy itself is imported on the first vector batch, not at start-up,
 so a run whose batches all stay small (``repro --help``, a small
@@ -148,12 +149,20 @@ def numpy_for(size: int):
     return _numpy or _import_numpy()
 
 
+def numpy_for_batch(batch: Sequence):
+    """:func:`numpy_for` sized by ``len(batch)``, except that an ndarray
+    ``batch`` (passed in from a vector caller) takes the numpy path
+    unless the pure-Python kernel is selected."""
+    if hasattr(batch, "dtype"):
+        return numpy_or_none()
+    return numpy_for(len(batch))
+
+
 def numpy_or_none():
     """The numpy module unless the pure-Python kernel is selected.
 
-    For sites that do not size their batches (the simulator's event
-    streams) and for helpers reached from a vector path; ``auto``
-    vectorizes here, as for any batch of :data:`VECTOR_MIN` cells.
+    For helpers reached from a vector path; ``auto`` vectorizes here,
+    as for any batch of :data:`VECTOR_MIN` cells.
     """
     return numpy_for(VECTOR_MIN)
 

@@ -29,7 +29,11 @@ The result is bit-identical to the python backend — same
 ``ExecutionSlice`` sequence, same ``InstanceRecord`` values, so exports
 compare byte-for-byte — but the per-activation Python cost is paid only
 for the contended minority.  Object views are materialized lazily by
-:class:`TraceArrays`; metric queries (latencies, miss counts, (m,k)
+:class:`TraceArrays`, either whole or as windowed views — the slices
+starting before a cut-off (each chunk masked by start) and the
+instances activated before it (a ``searchsorted`` prefix of the sorted
+activations) — so a report over the head of a long trace builds no
+object for the rest.  Metric queries (latencies, miss counts, (m,k)
 windows, busy windows) answer directly from the arrays.
 """
 
@@ -108,43 +112,61 @@ class TraceArrays:
 
     # -- lazy object views --------------------------------------------
     def build_instances(self) -> Dict[str, List[InstanceRecord]]:
-        records: Dict[str, List[InstanceRecord]] = {}
-        for chain in self.system.chains:
-            name = chain.name
-            acts = self.activation[name].tolist()
-            starts = self.start[name].tolist()
-            finishes = self.finish[name].tolist()
-            task_rows = [row.tolist() for row in self.task_fin[name]]
-            task_names = [task.name for task in chain.tasks]
-            chain_records = []
-            for i, activation in enumerate(acts):
-                start = starts[i]
-                finish = finishes[i]
-                task_finishes = {
-                    task_names[k]: row[i]
-                    for k, row in enumerate(task_rows)
-                    if row[i] == row[i]
-                }
-                chain_records.append(
-                    InstanceRecord(
-                        name,
-                        i,
-                        activation,
-                        start if start == start else None,
-                        finish if finish == finish else None,
-                        task_finishes,
-                    )
+        return {
+            chain.name: self.build_chain_instances(chain.name)
+            for chain in self.system.chains
+        }
+
+    def build_chain_instances(
+        self, name: str, until: float = math.inf
+    ) -> List[InstanceRecord]:
+        """Records of the instances of chain ``name`` activated before
+        ``until``: a ``searchsorted`` prefix of the sorted activations."""
+        times = self.activation[name]
+        count = int(self.np.searchsorted(times, until, side="left"))
+        acts = times[:count].tolist()
+        starts = self.start[name][:count].tolist()
+        finishes = self.finish[name][:count].tolist()
+        task_rows = [row[:count].tolist() for row in self.task_fin[name]]
+        task_names = [task.name for task in self.system[name].tasks]
+        records = []
+        for i, activation in enumerate(acts):
+            start = starts[i]
+            finish = finishes[i]
+            task_finishes = {
+                task_names[k]: row[i]
+                for k, row in enumerate(task_rows)
+                if row[i] == row[i]
+            }
+            records.append(
+                InstanceRecord(
+                    name,
+                    i,
+                    activation,
+                    start if start == start else None,
+                    finish if finish == finish else None,
+                    task_finishes,
                 )
-            records[name] = chain_records
+            )
         return records
 
-    def build_slices(self) -> List[ExecutionSlice]:
+    def build_slices(self, until: float = math.inf) -> List[ExecutionSlice]:
+        """The execution slices starting before ``until``, sorted by
+        start: every array chunk and every stretch list masked by
+        ``start < until`` (a stretch list is chronological, so it is
+        kept whole, cut, or skipped by its end points)."""
         out: List[ExecutionSlice] = []
         for chunk in self.slice_chunks:
             if isinstance(chunk, list):
-                out.extend(chunk)
+                if chunk[-1].start < until:
+                    out.extend(chunk)
+                elif chunk[0].start < until:
+                    out.extend(piece for piece in chunk if piece.start < until)
                 continue
             chain_name, task_name, instances, starts, ends = chunk
+            keep = starts < until
+            if not keep.all():
+                instances, starts, ends = instances[keep], starts[keep], ends[keep]
             out.extend(
                 ExecutionSlice(chain_name, task_name, instance, start, end)
                 for instance, start, end in zip(
@@ -153,6 +175,16 @@ class TraceArrays:
             )
         out.sort(key=lambda piece: piece.start)
         return out
+
+    def slices_end(self) -> float:
+        """End of the last execution slice (0.0 when none ran)."""
+        end = 0.0
+        for chunk in self.slice_chunks:
+            if isinstance(chunk, list):
+                end = max(end, chunk[-1].end)
+            else:
+                end = max(end, float(chunk[4].max()))
+        return end
 
     # -- array metric paths -------------------------------------------
     def latencies(self, chain: str) -> List[float]:

@@ -15,20 +15,23 @@ Implements the execution semantics of Sec. II faithfully:
 
 The simulator is event-driven and deterministic given the activation
 streams and execution times.  Two backends share the event loop below:
-under ``REPRO_KERNEL=python`` the loop runs the whole horizon; under
-``REPRO_KERNEL=numpy`` the calendar backend (:mod:`repro.sim.calendar`)
-retires isolated activations in batch array operations and runs the
-*same* loop only over the contended stretches, producing bit-identical
-traces (the differential guarantee of the kernel parity tests).
+the python backend runs the loop over the whole horizon; the calendar
+backend (:mod:`repro.sim.calendar`) retires isolated activations in
+batch array operations and runs the *same* loop only over the
+contended stretches, producing bit-identical traces (the differential
+guarantee of the kernel parity tests).  ``REPRO_KERNEL=python`` and
+``numpy`` force one backend; ``auto`` picks by the number of
+activations (:data:`repro.kernel.VECTOR_MIN`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..kernel import numpy_or_none
+from ..kernel import numpy_for
 from ..model import System, TaskChain
 
 
@@ -74,9 +77,14 @@ class SimulationResult:
     objects directly; the numpy calendar backend carries the trace as
     arrays and materializes the object views lazily on first access, so
     soak-scale runs pay for Python objects only when somebody actually
-    iterates them.  Metric queries answer from the arrays when they are
-    present — with value-identical arithmetic, checked by the kernel
-    parity suite.
+    iterates them.  The windowed views :meth:`slices_before` and
+    :meth:`instances_before` build only the objects that start (or are
+    activated) before a cut-off — on the calendar trace from a masked
+    or ``searchsorted`` prefix of the arrays, on the python backend by
+    filtering its lists — so a report over a short window of a long
+    trace never builds the rest.  Metric queries answer from the arrays
+    when they are present — with value-identical arithmetic, checked
+    by the kernel parity suite.
     """
 
     def __init__(
@@ -105,6 +113,34 @@ class SimulationResult:
         if self._slices is None:
             self._slices = self._trace.build_slices()
         return self._slices
+
+    def slices_before(self, until: float) -> List[ExecutionSlice]:
+        """The execution slices starting before ``until``, in the order
+        of :attr:`slices` (a prefix of it)."""
+        if self._slices is None:
+            return self._trace.build_slices(until)
+        return [piece for piece in self._slices if piece.start < until]
+
+    def instances_before(self, chain: str, until: float) -> List[InstanceRecord]:
+        """The instances of ``chain`` activated before ``until``, in
+        instance order (a prefix of ``instances[chain]``)."""
+        if self._instances is None:
+            return self._trace.build_chain_instances(chain, until)
+        return [rec for rec in self._instances[chain] if rec.activation < until]
+
+    def activation_times(self, chain: str) -> Sequence[float]:
+        """Activation times of ``chain``'s instances, in instance order:
+        the trace's own float64 array (not to be modified) on the
+        calendar backend, a list of floats on the python backend."""
+        if self._trace is not None:
+            return self._trace.activation[chain]
+        return [rec.activation for rec in self._instances[chain]]
+
+    def schedule_end(self) -> float:
+        """End of the last execution slice (0.0 for an empty schedule)."""
+        if self._slices is None:
+            return self._trace.slices_end()
+        return max((piece.end for piece in self._slices), default=0.0)
 
     def latencies(self, chain: str) -> List[float]:
         """Latencies of all *finished* instances of ``chain``."""
@@ -167,23 +203,44 @@ class SimulationResult:
         return merged
 
 
-@dataclass
 class _Job:
-    """One task of one chain instance, as seen by the scheduler."""
+    """One task of one chain instance, as seen by the scheduler.
 
-    chain: TaskChain
-    task_index: int
-    instance: int
-    release: float
-    remaining: float
+    ``rank`` is the scheduling key, fixed at construction: priority
+    first, then the earlier release, then the lower instance index.
+    """
 
-    @property
-    def priority(self) -> float:
-        return self.chain.tasks[self.task_index].priority
+    __slots__ = (
+        "chain",
+        "task_index",
+        "instance",
+        "release",
+        "remaining",
+        "priority",
+        "task_name",
+        "rank",
+    )
 
-    @property
-    def task_name(self) -> str:
-        return self.chain.tasks[self.task_index].name
+    def __init__(
+        self,
+        chain: TaskChain,
+        task_index: int,
+        instance: int,
+        release: float,
+        remaining: float,
+    ):
+        task = chain.tasks[task_index]
+        self.chain = chain
+        self.task_index = task_index
+        self.instance = instance
+        self.release = release
+        self.remaining = remaining
+        self.priority = task.priority
+        self.task_name = task.name
+        self.rank = (task.priority, -release, -instance)
+
+
+_rank = attrgetter("rank")
 
 
 class _ObjectStore:
@@ -257,7 +314,9 @@ def run_event_loop(
         admit(job)
 
     def finish_job(job: _Job, at: float) -> None:
-        store.task_finish(job.chain.name, job.instance, job.task_index, job.task_name, at)
+        store.task_finish(
+            job.chain.name, job.instance, job.task_index, job.task_name, at
+        )
         task_turn[job.task_name] = job.instance + 1
         # Unblock the FIFO successor of this task, if queued.
         queued = fifo_backlog.get(job.task_name, [])
@@ -304,7 +363,7 @@ def run_event_loop(
         # Zero-remaining ready jobs therefore cascade to completion
         # first — but only while they are the highest-priority work.
         while ready:
-            top = max(ready, key=lambda j: (j.priority, -j.release, -j.instance))
+            top = max(ready, key=_rank)
             if top.remaining <= 1e-12:
                 ready.remove(top)
                 finish_job(top, time)
@@ -326,7 +385,7 @@ def run_event_loop(
             time = pending_releases[next_release_index][0]
             continue
 
-        job = max(ready, key=lambda j: (j.priority, -j.release, -j.instance))
+        job = max(ready, key=_rank)
         ready.remove(job)
         next_arrival = (
             pending_releases[next_release_index][0]
@@ -411,8 +470,14 @@ class Simulator:
             listed receive no activations.
         horizon:
             Activations beyond the horizon are ignored.
+
+        The backend is picked by :func:`~repro.kernel.numpy_for` over
+        the number of activations supplied: the array calendar for a
+        vector-sized run (always under ``REPRO_KERNEL=numpy``), the
+        scalar loop otherwise.  Both produce the identical trace.
         """
-        if numpy_or_none() is not None:
+        total = sum(len(activations.get(c.name, ())) for c in self.system.chains)
+        if numpy_for(total) is not None:
             from .calendar import run_calendar
 
             return run_calendar(self, activations, horizon)

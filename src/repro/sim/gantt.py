@@ -21,9 +21,14 @@ def render_gantt(
     which task ran (first character of the slice owner), ``.`` idle.
     Busy windows of each chain with a finite deadline are marked under
     the task rows with ``^`` at activation instants.
+
+    Only the slices starting before ``until`` and the instances
+    activated before it are built (a finish never precedes its
+    activation, so they hold every mark the window can show);
+    ``until=None`` renders up to the end of the schedule.
     """
     if until is None:
-        until = max((s.end for s in result.slices), default=0.0)
+        until = result.schedule_end()
     if until <= 0:
         return "(empty schedule)"
     scale = width / until
@@ -35,9 +40,7 @@ def render_gantt(
             task_rows[task.name] = ["."] * width
             order.append(task.name)
 
-    for piece in result.slices:
-        if piece.start >= until:
-            continue
+    for piece in result.slices_before(until):
         row = task_rows.get(piece.task)
         if row is None:
             continue
@@ -54,9 +57,8 @@ def render_gantt(
 
     for chain in result.system.chains:
         marks = [" "] * width
-        for rec in result.instances[chain.name]:
-            if rec.activation < until:
-                marks[min(int(rec.activation * scale), width - 1)] = "^"
+        for rec in result.instances_before(chain.name, until):
+            marks[min(int(rec.activation * scale), width - 1)] = "^"
             if rec.finish is not None and rec.finish < until:
                 column = min(int(rec.finish * scale), width - 1)
                 marks[column] = "v" if marks[column] == " " else "*"

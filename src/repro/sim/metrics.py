@@ -103,21 +103,20 @@ def busy_window_activation_counts(result: SimulationResult, chain: str) -> List[
     """Number of chain activations falling in each observed busy window
     — the empirical counterpart of ``K_b`` (Theorem 2).
 
-    Under the numpy kernel the per-window membership scan collapses to
-    two ``searchsorted`` calls over the sorted activation array; the
-    counts are exact integers either way.
+    On a calendar trace the per-window membership scan collapses to two
+    ``searchsorted`` calls over the sorted activation array; the counts
+    are exact integers either way.
     """
     windows = result.busy_windows(chain)
-    np = numpy_or_none()
-    trace = getattr(result, "_trace", None)
-    if np is not None and trace is not None and windows:
-        activations = np.sort(trace.activation[chain])
+    activations = result.activation_times(chain)
+    np = numpy_or_none() if hasattr(activations, "dtype") else None
+    if np is not None and windows:
         starts = np.asarray([start for start, _ in windows])
         ends = np.asarray([end for _, end in windows])
         lo = np.searchsorted(activations, starts, side="left")
         hi = np.searchsorted(activations, ends, side="right")
         return (hi - lo).tolist()
-    activations = sorted(rec.activation for rec in result.instances[chain])
+    activations = sorted(activations)
     counts: List[int] = []
     for start, end in windows:
         counts.append(sum(1 for t in activations if start <= t <= end))

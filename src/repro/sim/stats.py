@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..kernel import numpy_or_none
 from .engine import SimulationResult
 
 
@@ -38,12 +37,13 @@ class LatencyStats:
     ) -> "LatencyStats":
         if len(samples) == 0:
             raise ValueError(f"no finished instances for chain {chain!r}")
-        np = numpy_or_none()
-        if np is not None and isinstance(samples, np.ndarray):
+        if hasattr(samples, "dtype"):
             # One vectorized sort; the mean below still runs the same
             # sequential float summation as the list path, so the
             # statistics are bit-identical across kernels.
-            ordered = np.sort(samples).tolist()
+            array = samples.copy()
+            array.sort()
+            ordered = array.tolist()
         else:
             ordered = sorted(samples)
         return cls(
@@ -74,12 +74,10 @@ def latency_stats(
     """Distribution summary of ``chain``'s latencies in ``result``."""
     trace = getattr(result, "_trace", None)
     if trace is not None and getattr(result, "_instances", None) is None:
-        np = numpy_or_none()
-        if np is not None:
-            finish = trace.finish[chain]
-            done = ~np.isnan(finish)
-            samples = finish[done] - trace.activation[chain][done]
-            return LatencyStats.from_samples(chain, samples, marks)
+        finish = trace.finish[chain]
+        done = ~trace.np.isnan(finish)
+        samples = finish[done] - trace.activation[chain][done]
+        return LatencyStats.from_samples(chain, samples, marks)
     return LatencyStats.from_samples(chain, result.latencies(chain), marks)
 
 
@@ -123,7 +121,7 @@ def overshoot_report(
     victims = [rec for rec in result.instances[victim] if rec.latency is not None]
     if not victims:
         raise ValueError(f"no finished instances of {victim!r}")
-    overload_times = [rec.activation for rec in result.instances[overload]]
+    overload_times = [float(t) for t in result.activation_times(overload)]
     if typical_level is None:
         first = overload_times[0] if overload_times else math.inf
         baseline = [rec.latency for rec in victims if rec.activation < first]
@@ -170,12 +168,14 @@ def miss_streaks(result: SimulationResult, chain: str) -> List[int]:
     """Lengths of consecutive-miss runs — the quantity the
     'no more than N consecutive misses' weakly-hard constraint bounds.
 
-    Vectorized as an edge detection over the padded flag vector under
-    the numpy kernel; the run lengths are exact integers either way.
+    Vectorized as an edge detection over the padded flag vector when
+    the result carries calendar trace arrays; the run lengths are exact
+    integers either way.
     """
     flags = result.miss_flags(chain)
-    np = numpy_or_none()
-    if np is not None:
+    trace = getattr(result, "_trace", None)
+    if trace is not None:
+        np = trace.np
         arr = np.asarray(flags, dtype=np.int8)
         if arr.size == 0:
             return []

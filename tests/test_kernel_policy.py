@@ -286,6 +286,9 @@ class TestLazyImport:
         argv = ["batch", "--random", "5"]
         assert run_fresh(CLI.format(argv=argv)) == "False"
 
+    def test_default_simulate_leaves_numpy_out(self):
+        assert run_fresh(CLI.format(argv=["simulate"])) == "False"
+
     @needs_numpy
     def test_forced_numpy_imports_it(self):
         argv = ["batch", "--random", "5", "--kernel", "numpy"]

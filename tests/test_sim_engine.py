@@ -220,3 +220,29 @@ class TestBoundaryTieBreak:
             "victim": [0.0],
             "noise": [0.0, 40.0, 80.0, 120.0]})
         assert result.latencies("victim") == [40]
+
+
+class TestReadyTieBreak:
+    """Among ready jobs of equal priority the earlier release runs
+    first, then the lower instance index, then the job queued first."""
+
+    def _system(self):
+        return (
+            SystemBuilder("ties", allow_shared_priorities=True)
+            .chain("a", PeriodicModel(100), deadline=100)
+            .task("a.t", priority=1, wcet=10)
+            .chain("b", PeriodicModel(100), deadline=100)
+            .task("b.t", priority=1, wcet=10)
+            .build()
+        )
+
+    def test_lower_instance_wins_at_equal_priority_and_release(self):
+        # At t=100 a#1 is queued before b#0; b#0 has the lower index.
+        result = run(self._system(), {"a": [0.0, 100.0], "b": [100.0]})
+        order = [(s.chain, s.instance, s.start) for s in result.slices]
+        assert order == [("a", 0, 0.0), ("b", 0, 100.0), ("a", 1, 110.0)]
+
+    def test_full_tie_goes_to_the_first_queued_job(self):
+        result = run(self._system(), {"a": [50.0], "b": [50.0]})
+        order = [(s.chain, s.instance, s.start) for s in result.slices]
+        assert order == [("a", 0, 50.0), ("b", 0, 60.0)]
